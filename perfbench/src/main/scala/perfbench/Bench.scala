@@ -111,8 +111,8 @@ final class Tally(val limit: Int) {
   }
 }
 
-/** One benchmark invocation: set-up (repeated), the measured phase, the
-  * Spark cross-check and the report.
+/** One benchmark invocation: set-up (repeated), the Spark cross-check, the
+  * measured phase and the report.
   */
 final class Run(w: Workload, o: Opts) {
   import Bench.log
@@ -149,7 +149,10 @@ final class Run(w: Workload, o: Opts) {
     }.toMap
     val env = new Env(ag, lg, cells, truths)
     val warm = new OpStream(cells, -1L)
-    for (i <- 0 until wl.warmupRounds * warm.roundSize) untracedOp(env, warm, i)
+    for (i <- 0 until wl.warmupRounds * warm.roundSize) {
+      untracedOp(env, warm, i)
+      CpuProbe.micros()
+    }
     if (root != null) tr.close(root)
     (env, (System.nanoTime() - t0) / 1e9)
   }
@@ -201,14 +204,21 @@ final class Run(w: Workload, o: Opts) {
     }
   }
 
-  final class Phase(val latMs: Array[Double], val wallS: Double)
+  /** Untraced latencies, the [[CpuProbe]] time read after each operation,
+    * and the phase's wall time.
+    */
+  final class Phase(val latMs: Array[Double], val probeUs: Array[Double], val wallS: Double) {
+    lazy val correctedMs: Array[Double] = CpuProbe.corrected(latMs, probeUs)
+  }
 
   /** Closed loop with one client thread for `seconds` and at least `minOps`
-    * operations. Traced, each operation also runs traced, in alternating
-    * order so neither copy always runs with the other's warm caches.
+    * operations. Each untraced operation is followed by a [[CpuProbe]]
+    * reading. Traced, each operation also runs traced, in alternating order
+    * so neither copy always runs with the other's warm caches.
     */
   def measure(env: Env, stream: OpStream, seconds: Double, minOps: Int, tally: Tally): Phase = {
     val lat = Array.newBuilder[Double]
+    val probe = Array.newBuilder[Double]
     val t0 = System.nanoTime()
     val deadline = t0 + (seconds * 1e9).toLong
     var i = 0
@@ -217,23 +227,26 @@ final class Run(w: Workload, o: Opts) {
       if (o.trace && i % 2 == 1) record(env, c, i, tracedOp(env, stream, i, tracer))
       val (ms, out) = untracedOp(env, stream, i)
       lat += ms
+      probe += CpuProbe.micros()
       record(env, c, i, out)
       if (o.trace && i % 2 == 0) record(env, c, i, tracedOp(env, stream, i, tracer))
       if (i < tally.limit) tally.add(env, c, out.toOption)
       i += 1
     }
-    new Phase(lat.result(), (System.nanoTime() - t0) / 1e9)
+    new Phase(lat.result(), probe.result(), (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Writes one CSV row per measured operation: its cell and untraced ms. */
+  /** Writes one CSV row per measured operation: its cell, untraced ms, the
+    * probe read after it and its corrected ms.
+    */
   private def writeOps(stream: OpStream, phase: Phase): Unit = {
     val path = Paths.get(o.out, s"ops-${w.name}-${o.seed}.csv")
     Files.createDirectories(path.getParent)
     val rows = phase.latMs.indices.map { i =>
       val c = stream.cell(i)
-      s"$i,${c.dataset},${c.h.name},${c.samplerName},${phase.latMs(i)}"
+      s"$i,${c.dataset},${c.h.name},${c.samplerName},${phase.latMs(i)},${phase.probeUs(i)},${phase.correctedMs(i)}"
     }
-    Files.write(path, ("op,dataset,hypothesis,sampler,ms" +: rows).asJava)
+    Files.write(path, ("op,dataset,hypothesis,sampler,ms,probe_us,corrected_ms" +: rows).asJava)
   }
 
   /** LocalEvaluator ground truth against SparkEvaluator on the same graph. */
@@ -272,6 +285,16 @@ final class Run(w: Workload, o: Opts) {
     val heap = Bench.heapMb()
     log(f"${w.name}: set-up ${setupTimes.map(s => f"$s%.3f").mkString(", ")} s; heap $heap%.1f MB")
 
+    // The cross-check is the last use of Spark before the measured phase.
+    // Stopping the session then leaves no Spark threads running beside the
+    // client thread.
+    val tc = System.nanoTime()
+    val mismatches = crossCheck(env)
+    log(f"cross-check of ${env.truths.size} hypotheses against SparkEvaluator: ${(System.nanoTime() - tc) / 1e9}%.1f s")
+    mismatches.foreach(m => log(s"cross-check mismatch: $m"))
+    SparkSession.getActiveSession.foreach(_.stop())
+    System.gc()
+
     val stream = new OpStream(env.cells, o.seed)
     val rounds = if (o.trace) math.min(w.prefixRounds, Workloads.TracedPrefixRounds) else w.prefixRounds
     val tally = new Tally(rounds * stream.roundSize)
@@ -280,21 +303,19 @@ final class Run(w: Workload, o: Opts) {
     writeOps(stream, phase)
     val sorted = phase.latMs.sorted
     val n = sorted.length
-    log(f"${w.name}: $n tests in ${phase.wallS}%.2f s; test_ms p50 ${Quantiles.percentile(sorted, 0.5)}%.3f " +
-      f"(n=$n), p99 ${Quantiles.percentile(sorted, 0.99)}%.3f (${Quantiles.beyond(n, 0.99)} beyond)")
-
-    val tc = System.nanoTime()
-    val mismatches = crossCheck(env)
-    log(f"cross-check of ${env.truths.size} hypotheses against SparkEvaluator: ${(System.nanoTime() - tc) / 1e9}%.1f s")
-    mismatches.foreach(m => log(s"cross-check mismatch: $m"))
+    val corrected = phase.correctedMs.sorted
+    log(f"${w.name}: $n tests in ${phase.wallS}%.2f s; wall test_ms p50 ${Quantiles.percentile(sorted, 0.5)}%.3f, " +
+      f"p99 ${Quantiles.percentile(sorted, 0.99)}%.3f (${Quantiles.beyond(n, 0.99)} beyond); " +
+      f"probe median ${Quantiles.median(phase.probeUs)}%.1f us (reference ${CpuProbe.ReferenceMicros}%.0f)")
 
     val metrics = mutable.LinkedHashMap.empty[String, (Double, String)]
     if (!o.trace) {
       metrics("setup_s") = (Quantiles.median(setupTimes), "s")
       metrics("heap_mb") = (heap, "MB")
-      metrics("test_ms_p50") = (Quantiles.percentile(sorted, 0.5), "ms")
-      metrics("test_ms_p99") = (Quantiles.percentile(sorted, 0.99), "ms")
-      metrics("tests_per_s") = (n / phase.wallS, "1/s")
+      // Timings at the reference CPU speed; see CpuProbe.
+      metrics("test_ms_p50") = (Quantiles.percentile(corrected, 0.5), "ms")
+      metrics("test_ms_p99") = (Quantiles.percentile(corrected, 0.99), "ms")
+      metrics("tests_per_s") = (n / (corrected.sum / 1000), "1/s")
       metrics("accuracy") = (tally.matched.toDouble / tally.ops, "ratio")
       metrics("ci_coverage") = (tally.covered.toDouble / math.max(1, tally.tested), "ratio")
       metrics("ok_rate") = (1.0 - failed.toDouble / attempted, "ratio")
@@ -375,6 +396,7 @@ final class Run(w: Workload, o: Opts) {
     val untracedMs = phase.latMs.sum
     metrics("trace.unaccounted_pct") = (100 * (untracedMs - layerSum) / untracedMs, "%")
     metrics("trace.overhead_pct") = (100 * (1 - untracedMs / tracer.totalMillis("op")), "%")
+    metrics("host.probe_us") = (Quantiles.median(phase.probeUs), "us")
   }
 }
 

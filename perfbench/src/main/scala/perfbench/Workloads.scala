@@ -78,7 +78,7 @@ object Workloads {
     } yield Cell("Yelp", h, s, tableSampler(h, s), budget(Tables.proportions(("Yelp", "path")), gs("Yelp"))))
 
   /** PHASE : PHASE_opt operation weights on `dblp-hub`. */
-  val DblpHubWeights: Seq[(String, Int)] = Seq("PHASE" -> 1, "PHASEopt" -> 3)
+  val DblpHubWeights: Seq[(String, Int)] = Seq("PHASE" -> 1, "PHASEopt" -> 7)
 
   private def dblpFirst: IndexedSeq[Hypothesis] =
     IndexedSeq(Catalog.dblp.node.head, Catalog.dblp.edge.head, Catalog.dblp.path.head)
