@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
 import scala.collection.mutable
 
 /** A compact driver-side mirror of an [[AttributedGraph]].
@@ -32,12 +33,7 @@ final class LocalGraph(
   val numNodes: Int = ids.length
   val numEdges: Int = edgeSrc.length
 
-  private val idToIdx: java.util.HashMap[Long, Integer] = {
-    val m = new java.util.HashMap[Long, Integer](numNodes * 2)
-    var i = 0
-    while (i < numNodes) { m.put(ids(i), i); i += 1 }
-    m
-  }
+  private val idToIdx: java.util.HashMap[Long, Integer] = LocalGraph.indexIds(ids)
 
   /** Internal index of an external node id (-1 if absent). */
   def indexOf(id: Long): Int = {
@@ -54,22 +50,38 @@ final class LocalGraph(
   def matches(i: Int, m: Modifier): Boolean =
     m.matches(nodeType(i), nodeAttrs(i))
 
-  /** Per-position match bitmap for every modifier on a path — precomputed
-    * once so samplers and evaluators pay O(1) per membership test.
-    */
-  def labels(path: PathSpec): Array[Array[Boolean]] =
-    path.modifiers.toArray.map { m =>
-      val a = new Array[Boolean](numNodes)
-      var i = 0
-      while (i < numNodes) { a(i) = matches(i, m); i += 1 }
-      a
-    }
+  private val modifierLabels = new ConcurrentHashMap[Modifier, Array[Boolean]]()
+  private val plans = new ConcurrentHashMap[PathSpec, PathPlan]()
 
-  /** Half-edge matches a declared step if the underlying edge type agrees and
-    * the traversal direction matches the step's declared direction.
+  /** Match bitmap of one modifier over all nodes, computed once per modifier
+    * in O(|V|) and shared by every path that uses it.
     */
-  def halfEdgeMatches(half: Int, step: PathStep, etypeIdx: Int): Boolean =
-    etypeOf(adjEdge(half)) == etypeIdx && adjFwd(half) != step.reversed
+  private def modifierLabel(m: Modifier): Array[Boolean] =
+    modifierLabels.computeIfAbsent(m, _ => Array.tabulate(numNodes)(matches(_, m)))
+
+  /** The compiled [[PathPlan]] of `path` on this graph. The first call per
+    * path builds it; later calls (every sampler run, every evaluation) are a
+    * hash lookup, so no hypothesis test pays an O(|V|) labelling pass.
+    */
+  def plan(path: PathSpec): PathPlan =
+    plans.computeIfAbsent(path, p => new PathPlan(this,
+      p.modifiers.iterator.map(modifierLabel).toArray,
+      p.steps.iterator.map(s => etypes.indexOf(s.etype)).toArray,
+      p.steps.iterator.map(!_.reversed).toArray))
+
+  /** Per-position match bitmap for every modifier on a path: `plan(path)`'s
+    * bitmaps, so samplers and evaluators pay O(1) per membership test and
+    * nothing per call once the plan exists. The arrays are shared; callers
+    * must not write to them.
+    */
+  def labels(path: PathSpec): Array[Array[Boolean]] = plan(path).labels
+
+  /** Half-edge `half` realises a path step: it lies on an edge of type
+    * `etypeIdx` and follows the stored direction iff `fwd` (a step declared
+    * `reversed` has `fwd = false`). An `etypeIdx` of -1 matches nothing.
+    */
+  def halfEdgeMatches(half: Int, etypeIdx: Int, fwd: Boolean): Boolean =
+    etypeOf(adjEdge(half)) == etypeIdx && adjFwd(half) == fwd
 
   def etypeIndex(name: String): Int = {
     val k = etypes.indexOf(name)
@@ -79,6 +91,20 @@ final class LocalGraph(
 }
 
 object LocalGraph {
+  /** External id -> internal index. Rejects a repeated id: it would leave
+    * the earlier node unreachable by id and orphan it from every edge.
+    */
+  private def indexIds(ids: Array[Long]): java.util.HashMap[Long, Integer] = {
+    val m = new java.util.HashMap[Long, Integer](ids.length * 2)
+    var i = 0
+    while (i < ids.length) {
+      val prev = m.put(ids(i), i)
+      require(prev == null, s"duplicate node id ${ids(i)} (rows ${prev} and $i)")
+      i += 1
+    }
+    m
+  }
+
   /** Collect an [[AttributedGraph]] to the driver. Attribute columns are all
     * columns other than the structural ones; nulls are dropped from the maps.
     */
@@ -111,9 +137,7 @@ object LocalGraph {
       nAttrs(i) = m.result()
       i += 1
     }
-    val idToIdx = new java.util.HashMap[Long, Integer](n * 2)
-    i = 0
-    while (i < n) { idToIdx.put(ids(i), i); i += 1 }
+    val idToIdx = indexIds(ids)
 
     val eRows = g.edges.collect()
     val mEdges = eRows.length
@@ -167,6 +191,29 @@ object LocalGraph {
     new LocalGraph(ids, ntypeTable.keys.toArray, ntypeOf, nAttrs,
       etypeTable.keys.toArray, eSrc, eDst, etypeOf, eAttrs, off, nbr, edg, fwd)
   }
+}
+
+/** A [[PathSpec]] compiled against one [[LocalGraph]] (see
+  * [[LocalGraph.plan]]): everything samplers and the evaluator need to test
+  * a node or half-edge against the path in O(1).
+  *
+  * @param labels    `labels(k)(i)`: node i satisfies modifier M_k
+  * @param stepEtype `etypes` index of step j's edge type; -1 when the graph
+  *                  has no edge of that type, so step j matches nothing
+  * @param stepFwd   step j follows the stored edge direction
+  */
+final class PathPlan private[core] (
+    g: LocalGraph,
+    val labels: Array[Array[Boolean]],
+    val stepEtype: Array[Int],
+    val stepFwd: Array[Boolean]) {
+
+  /** Path length l (number of steps). */
+  def length: Int = stepEtype.length
+
+  /** True iff half-edge `half` realises step j's edge type and direction. */
+  def stepMatches(j: Int, half: Int): Boolean =
+    g.halfEdgeMatches(half, stepEtype(j), stepFwd(j))
 }
 
 /** A sampled graph S: a set of node indices plus, for edge samplers, the

@@ -23,11 +23,9 @@ import SamplerUtil._
   * walker restarts its progress) — see DESIGN.md §5.
   */
 final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double) {
-  private val path = h.path
-  val l: Int = path.length
-  val labels: Array[Array[Boolean]] = g.labels(path)
-  private val stepEtype: Array[Int] =
-    path.steps.map(s => g.etypes.indexOf(s.etype)).toArray
+  private val plan = g.plan(h.path)
+  val l: Int = plan.length
+  val labels: Array[Array[Boolean]] = plan.labels
 
   /** Walker seed weight (the paper's L_w): w_h while on a live match. */
   def seedWeight(progress: Int): Double = if (progress >= 1) wh else wl
@@ -36,9 +34,7 @@ final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double)
   def initialProgress(v: Int): Int = if (labels(0)(v)) 1 else 0
 
   private def extendsMatch(k: Int, half: Int, u: Int): Boolean =
-    k >= 1 && k <= l && stepEtype(k - 1) >= 0 &&
-      g.halfEdgeMatches(half, path.steps(k - 1), stepEtype(k - 1)) &&
-      labels(k)(u)
+    k >= 1 && k <= l && plan.stepMatches(k - 1, half) && labels(k)(u)
 
   /** Transition weight (the paper's N_w) for candidate u over `half`. */
   def candidateWeight(k: Int, half: Int, u: Int): Double =

@@ -22,7 +22,7 @@ class FrameworkSpec extends SparkSpec {
     val h = Catalog.dblp.node.head
     val out = Framework.runOnce(lg, h, RandomNodeSampler(), 300, new Random(1))
     assert(out.sampledNodes == 300)
-    assert(out.sampleMillis >= 0 && out.extractMillis >= 0)
+    assert(out.sampleMillis >= 0 && out.extractMillis >= 0 && out.ttestMillis >= 0)
     assert(out.totalMillis == out.sampleMillis + out.extractMillis)
   }
 

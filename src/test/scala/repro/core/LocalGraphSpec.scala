@@ -73,8 +73,9 @@ class LocalGraphSpec extends SparkSpec {
     val auth = g.etypeIndex("Authorship")
     // From a1, Authorship edges are stored paper->author: traversal is reverse.
     for (h <- g.adjOff(a1) until g.adjOff(a1 + 1)) {
-      assert(g.halfEdgeMatches(h, PathStep("Authorship", reversed = true), auth))
-      assert(!g.halfEdgeMatches(h, PathStep("Authorship", reversed = false), auth))
+      assert(g.halfEdgeMatches(h, auth, fwd = false))
+      assert(!g.halfEdgeMatches(h, auth, fwd = true))
+      assert(!g.halfEdgeMatches(h, g.etypeIndex("Cites"), fwd = false))
     }
   }
   test("etypeIndex rejects unknown types") {
@@ -90,6 +91,14 @@ class LocalGraphSpec extends SparkSpec {
       val e = lg.adjEdge(h)
       assert(lg.adjNbr(h) == (if (lg.adjFwd(h)) lg.edgeDst(e) else lg.edgeSrc(e)))
     }
+  }
+  test("fromAttributed rejects duplicate node ids") {
+    val ag = AttributedGraph.fromTuples(spark,
+      nodeRows = Seq((1L, "author", Map.empty[String, Any]), (7L, "paper", Map.empty[String, Any]),
+        (7L, "paper", Map.empty[String, Any])),
+      edgeRows = Seq((7L, 1L, "Authorship", Map.empty[String, Any])))
+    val e = intercept[IllegalArgumentException](LocalGraph.fromAttributed(ag))
+    assert(e.getMessage.contains("duplicate node id 7"))
   }
   test("SampledGraph membership") {
     val s = SampledGraph(Array(1, 3, 5))

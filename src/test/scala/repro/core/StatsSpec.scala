@@ -101,6 +101,23 @@ class StatsSpec extends AnyFunSuite with PropSupport {
   test("tQuantile(0.5) = 0") {
     assert(approx(Stats.tQuantile(0.5, 7.0), 0.0, 1e-6))
   }
+  test("tQuantile equals the full 200-step bisection bit for bit") {
+    def reference(p: Double, df: Double): Double = {
+      var lo = -1e4
+      var hi = 1e4
+      for (_ <- 0 until 200) {
+        val mid = 0.5 * (lo + hi)
+        if (Stats.tCdf(mid, df) < p) lo = mid else hi = mid
+      }
+      0.5 * (lo + hi)
+    }
+    for (df <- 1 to 3000; p <- Seq(0.025, 0.5, 0.9, 0.975, 0.995)) {
+      val got = Stats.tQuantile(p, df.toDouble)
+      val want = reference(p, df.toDouble)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
+        s"df=$df p=$p: $got != $want")
+    }
+  }
 
   // --------------------------------------------------------------- t-test
 
