@@ -7,9 +7,8 @@ import scala.collection.mutable
   *
   * Random-walk samplers (paper §3) are inherently sequential — one budget
   * unit advances one walker — so they run on this collected CSR rather than
-  * on cluster dataflow; the distributed PHASE variant lives in
-  * `repro.sampling.PhaseGraphX`. All evaluation graphs in this repo fit a
-  * single driver comfortably (see DESIGN.md §3).
+  * on cluster dataflow. All evaluation graphs in this repo fit a single
+  * driver comfortably (see DESIGN.md §3).
   *
   * The adjacency is the *undirected expansion*: each directed edge (u,v,r)
   * contributes a forward half-edge at u and a reverse half-edge at v (the

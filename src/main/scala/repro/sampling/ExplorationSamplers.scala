@@ -6,13 +6,17 @@ import scala.util.Random
 import repro.core.{LocalGraph, SampledGraph, Sampler}
 import SamplerUtil._
 
-/** Snowball Sampler (SBS) [Goodman 1961]: breadth-first chain referral — each
-  * visited node recruits up to `k` of its not-yet-visited neighbors; reseeds
-  * when a wave dies out before the budget is met.
+/** The recruit loop of SBS and FFS: breadth-first waves in which each
+  * dequeued node recruits some of its not-yet-visited neighbors, in shuffled
+  * order; reseeds when a wave dies out before the budget is met.
   */
-final case class SnowballSampler(k: Int = 5) extends Sampler {
-  val name = "SBS"
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
+sealed abstract class RecruitSampler extends Sampler {
+  /** How many of the shuffled fresh neighbors to recruit; drawn after the
+    * shuffle.
+    */
+  protected def recruits(rng: Random): Int
+
+  final def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
     val picked = new NodeBudget(math.min(budget, g.numNodes))
     val queue = mutable.Queue.empty[Int]
     def reseed(): Unit = {
@@ -34,8 +38,8 @@ final case class SnowballSampler(k: Int = 5) extends Sampler {
           if (!picked.contains(u) && seen.add(u)) fresh += u
           h += 1
         }
-        val chosen = rng.shuffle(fresh).take(k)
-        chosen.foreach { u =>
+        val shuffled = rng.shuffle(fresh)
+        shuffled.take(recruits(rng)).foreach { u =>
           if (!picked.isFull) { picked.add(u); queue.enqueue(u) }
         }
       }
@@ -45,48 +49,25 @@ final case class SnowballSampler(k: Int = 5) extends Sampler {
   }
 }
 
+/** Snowball Sampler (SBS) [Goodman 1961]: breadth-first chain referral — each
+  * visited node recruits up to `k` of its not-yet-visited neighbors.
+  */
+final case class SnowballSampler(k: Int = 5) extends RecruitSampler {
+  val name = "SBS"
+  protected def recruits(rng: Random): Int = k
+}
+
 /** Forest Fire Sampler (FFS) [Leskovec & Faloutsos 2006]: burns a
   * geometrically-distributed number of unvisited neighbors from each burning
-  * node (mean p/(1-p)), reseeding when the fire dies.
+  * node (mean p/(1-p)), at least one.
   */
-final case class ForestFireSampler(p: Double = 0.7) extends Sampler {
+final case class ForestFireSampler(p: Double = 0.7) extends RecruitSampler {
   val name = "FFS"
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val picked = new NodeBudget(math.min(budget, g.numNodes))
-    val queue = mutable.Queue.empty[Int]
-    def reseed(): Unit = {
-      val s = uniformNode(g, rng)
-      if (!picked.contains(s)) { picked.add(s); queue.enqueue(s) }
-    }
-    def geometric(): Int = {
-      // Number of failures before first success with success prob 1-p.
-      var x = 0
-      while (rng.nextDouble() < p && x < 1000) x += 1
-      x
-    }
-    reseed()
-    var guard = 0
-    val cap = stepCap(budget)
-    while (!picked.isFull && guard < cap) {
-      if (queue.isEmpty) reseed()
-      else {
-        val v = queue.dequeue()
-        val fresh = mutable.ArrayBuffer.empty[Int]
-        val seen = new java.util.HashSet[Int]()
-        var h = g.adjOff(v)
-        while (h < g.adjOff(v + 1)) {
-          val u = g.adjNbr(h)
-          if (!picked.contains(u) && seen.add(u)) fresh += u
-          h += 1
-        }
-        val burn = rng.shuffle(fresh).take(math.max(1, geometric()))
-        burn.foreach { u =>
-          if (!picked.isFull) { picked.add(u); queue.enqueue(u) }
-        }
-      }
-      guard += 1
-    }
-    SampledGraph(picked.toArray)
+  protected def recruits(rng: Random): Int = {
+    // Number of failures before first success with success prob 1-p.
+    var x = 0
+    while (rng.nextDouble() < p && x < 1000) x += 1
+    math.max(1, x)
   }
 }
 

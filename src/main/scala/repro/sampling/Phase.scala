@@ -5,9 +5,9 @@ import scala.util.Random
 import repro.core.{Hypothesis, LocalGraph, SampledGraph, Sampler}
 import SamplerUtil._
 
-/** The hypothesis-awareness machinery shared by PHASE, PHASE_opt and the
-  * GraphX PHASE: the two weight functions of §3.2.1, generalized from the
-  * transition probability matrices of Figure 3.
+/** The hypothesis-awareness machinery shared by PHASE and PHASE_opt: the
+  * two weight functions of §3.2.1, generalized from the transition
+  * probability matrices of Figure 3.
   *
   * A walker carries a *match progress* k — how many leading path positions
   * its recent trajectory matches, its current node being position k-1.
@@ -49,98 +49,50 @@ final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double)
     } else initialProgress(u)
 }
 
-/** PHASE (Algorithm 1): an m-dimensional FrontierS-style random walk whose
-  * walker choice and transitions are biased by [[HypothesisBias]]. At every
-  * step it weighs *all* neighbors of the chosen walker — the O(B·2|E|/|V|)
-  * cost that PHASE_opt removes.
+/** The walker loop of PHASE and PHASE_opt (Algorithms 1 and 2): an
+  * m-dimensional FrontierS-style random walk whose walker choice and
+  * transitions are biased by [[HypothesisBias]]. The two differ only in how
+  * a step gathers the candidate half-edges of the chosen walker's node v:
+  *  - deg(v) <= n: every half-edge of v, minus those into already-sampled
+  *    nodes if `skipSampled` (PHASE: n = ∞, no filter);
+  *  - otherwise at most n candidates from 3n random probes that reject
+  *    already-sampled nodes.
+  * A step with no candidate teleports the walker to a fresh uniform seed, so
+  * the budget still drains.
   *
   * Budget semantics: one unit per distinct node added to V_S, matching every
   * other sampler in the framework (paper §2.3's unitary cost); S is the
   * induced subgraph on V_S.
   */
-final case class PhaseSampler(
-    h: Hypothesis,
-    m: Int = 50,
-    wh: Double = 10.0,
-    wl: Double = 0.1) extends Sampler {
-  val name = "PHASE"
-
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val bias = new HypothesisBias(g, h, wh, wl)
+private object PhaseWalk {
+  def sample(g: LocalGraph, budget: Int, rng: Random, bias: HypothesisBias, m: Int,
+      n: Int, skipSampled: Boolean): SampledGraph = {
     val b = math.min(budget, g.numNodes)
     val nWalk = math.max(1, math.min(m, b))
     val pos = Array.fill(nWalk)(uniformNode(g, rng))
     val prog = pos.map(bias.initialProgress)
     val lw = prog.map(bias.seedWeight)
     val picked = new NodeBudget(b)
+    var cand = new Array[Int](0)
+    var w = new Array[Double](0)
     var steps = 0
     val cap = stepCap(budget)
     while (!picked.isFull && steps < cap) {
-      val k = weightedIndex(lw, rng)
+      val k = weightedIndex(lw, nWalk, rng)
       val v = pos(k)
       val d = g.degree(v)
       val off = g.adjOff(v)
-      val w = new Array[Double](d)
-      var i = 0
-      while (i < d) {
-        w(i) = bias.candidateWeight(prog(k), off + i, g.adjNbr(off + i))
-        i += 1
+      if (math.min(d, n) > cand.length) {
+        cand = new Array[Int](math.min(d, n))
+        w = new Array[Double](cand.length)
       }
-      val sel = weightedIndex(w, rng)
-      val half = off + sel
-      val u = g.adjNbr(half)
-      picked.add(v)
-      picked.add(u)
-      prog(k) = bias.nextProgress(prog(k), half, u)
-      pos(k) = u
-      lw(k) = bias.seedWeight(prog(k))
-      steps += 1
-    }
-    SampledGraph(picked.toArray)
-  }
-}
-
-/** PHASE_opt (Algorithm 2): PHASE with
-  *  - Optim 2: already-sampled nodes are removed from the candidate set
-  *    (N' = N[v] − V_S — global non-backtracking), and
-  *  - Optim 1: at most `n` candidates are drawn from N' before weighting,
-  *    bounding per-step work by O(n) instead of O(deg) — the O(B) total
-  *    complexity claimed in §3.2.2.
-  * A walker whose entire neighborhood is already sampled teleports to a
-  * fresh uniform seed so the budget still drains.
-  */
-final case class PhaseOptSampler(
-    h: Hypothesis,
-    m: Int = 50,
-    n: Int = 30,
-    wh: Double = 10.0,
-    wl: Double = 0.1) extends Sampler {
-  val name = "PHASEopt"
-
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val bias = new HypothesisBias(g, h, wh, wl)
-    val b = math.min(budget, g.numNodes)
-    val nWalk = math.max(1, math.min(m, b))
-    val pos = Array.fill(nWalk)(uniformNode(g, rng))
-    val prog = pos.map(bias.initialProgress)
-    val lw = prog.map(bias.seedWeight)
-    val picked = new NodeBudget(b)
-    var steps = 0
-    val cap = stepCap(budget)
-    val candHalf = new Array[Int](n)
-    val candW = new Array[Double](n)
-    while (!picked.isFull && steps < cap) {
-      val k = weightedIndex(lw, rng)
-      val v = pos(k)
-      val d = g.degree(v)
-      val off = g.adjOff(v)
       var nc = 0
       if (d <= n) {
-        // Small neighborhoods: scan, applying Optim 2's visited filter.
+        // Small neighborhoods (every one for PHASE): scan, applying Optim 2's
+        // visited filter for PHASE_opt.
         var i = 0
         while (i < d) {
-          val u = g.adjNbr(off + i)
-          if (!picked.contains(u)) { candHalf(nc) = off + i; nc += 1 }
+          if (!skipSampled || !picked.contains(g.adjNbr(off + i))) { cand(nc) = off + i; nc += 1 }
           i += 1
         }
       } else {
@@ -148,13 +100,13 @@ final case class PhaseOptSampler(
         // scans the full neighbor list (this is what wins Table 2).
         var tries = 0
         while (nc < n && tries < 3 * n) {
-          val halfE = off + rng.nextInt(d)
-          if (!picked.contains(g.adjNbr(halfE))) { candHalf(nc) = halfE; nc += 1 }
+          val half = off + rng.nextInt(d)
+          if (!picked.contains(g.adjNbr(half))) { cand(nc) = half; nc += 1 }
           tries += 1
         }
       }
       if (nc == 0) {
-        // Neighborhood exhausted: teleport to a fresh seed.
+        // Isolated node or exhausted neighborhood: teleport to a fresh seed.
         val s = uniformNode(g, rng)
         pos(k) = s
         prog(k) = bias.initialProgress(s)
@@ -163,11 +115,10 @@ final case class PhaseOptSampler(
       } else {
         var i = 0
         while (i < nc) {
-          candW(i) = bias.candidateWeight(prog(k), candHalf(i), g.adjNbr(candHalf(i)))
+          w(i) = bias.candidateWeight(prog(k), cand(i), g.adjNbr(cand(i)))
           i += 1
         }
-        val sel = weightedIndex(java.util.Arrays.copyOfRange(candW, 0, nc), rng)
-        val half = candHalf(sel)
+        val half = cand(weightedIndex(w, nc, rng))
         val u = g.adjNbr(half)
         picked.add(v)
         picked.add(u)
@@ -179,4 +130,39 @@ final case class PhaseOptSampler(
     }
     SampledGraph(picked.toArray)
   }
+}
+
+/** PHASE (Algorithm 1): at every step it weighs *all* neighbors of the chosen
+  * walker — the O(B·2|E|/|V|) cost that PHASE_opt removes.
+  */
+final case class PhaseSampler(
+    h: Hypothesis,
+    m: Int = 50,
+    wh: Double = 10.0,
+    wl: Double = 0.1) extends Sampler {
+  val name = "PHASE"
+
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    PhaseWalk.sample(g, budget, rng, new HypothesisBias(g, h, wh, wl), m,
+      n = Int.MaxValue, skipSampled = false)
+}
+
+/** PHASE_opt (Algorithm 2): PHASE with
+  *  - Optim 2: already-sampled nodes are removed from the candidate set
+  *    (N' = N[v] − V_S — global non-backtracking), and
+  *  - Optim 1: at most `n` candidates are drawn from N' before weighting,
+  *    bounding per-step work by O(n) instead of O(deg) — the O(B) total
+  *    complexity claimed in §3.2.2.
+  * A walker whose entire neighborhood is already sampled teleports.
+  */
+final case class PhaseOptSampler(
+    h: Hypothesis,
+    m: Int = 50,
+    n: Int = 30,
+    wh: Double = 10.0,
+    wl: Double = 0.1) extends Sampler {
+  val name = "PHASEopt"
+
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    PhaseWalk.sample(g, budget, rng, new HypothesisBias(g, h, wh, wl), m, n, skipSampled = true)
 }

@@ -78,11 +78,53 @@ class SamplerBasicsSpec extends SparkSpec {
     assert(out.edgeIdx.get.length == lg.numEdges)
   }
 
+  // Arrays.hashCode of (nodeIdx in visit order, edgeIdx or 0) at budget 200,
+  // seeds 1 and 2. Any change to a sampler's RNG draw order changes these.
+  private val fingerprints: Map[String, Seq[(Int, Int)]] = Map(
+    "RNS" -> Seq((-1777894677, 0), (-1010454514, 0)),
+    "DBS" -> Seq((-1315234386, 0), (1175233326, 0)),
+    "RES" -> Seq((2145587761, 872350097), (-809765514, 935180039)),
+    "SRW" -> Seq((-2890724, 0), (-1052281351, 0)),
+    "NBRW" -> Seq((1700361070, 0), (1926247129, 0)),
+    "RWR" -> Seq((1675057022, 0), (-31913519, 0)),
+    "MHRW" -> Seq((65981395, 0), (1553782219, 0)),
+    "FrontierS" -> Seq((489510201, 0), (364637464, 0)),
+    "SBS" -> Seq((-92446379, 0), (-1086278899, 0)),
+    "FFS" -> Seq((1717924964, 0), (-1794796783, 0)),
+    "ShortestPathS" -> Seq((1367877109, 0), (1839933939, 0)),
+    "PHASE" -> Seq((321911085, 0), (-1932250464, 0)),
+    "PHASEopt" -> Seq((1012767867, 0), (-403943274, 0)))
+
+  for (s <- allSamplers) {
+    test(s"${s.name}: sample fingerprint is pinned") {
+      val got = Seq(1, 2).map { seed =>
+        val out = s.sample(lg, budget, new Random(seed))
+        (java.util.Arrays.hashCode(out.nodeIdx), out.edgeIdx.fold(0)(java.util.Arrays.hashCode))
+      }
+      assert(got == fingerprints(s.name))
+    }
+  }
+
   test("walk samplers work from every start on the tiny graph") {
     val tiny = TestGraphs.tinyLocal
     for (s <- allSamplers) {
       val out = s.sample(tiny, 5, new Random(11))
       assert(out.size > 0, s.name)
+    }
+  }
+  test("samplers fill the budget on a graph with a zero-degree node") {
+    val t = TestGraphs.tinyLocal
+    val g = new LocalGraph(t.ids :+ 99L, t.ntypes, t.ntypeOf :+ 0, t.nodeAttrs :+ Map.empty[String, Any],
+      t.etypes, t.edgeSrc, t.edgeDst, t.etypeOf, t.edgeAttrs, t.adjOff :+ t.adjOff.last,
+      t.adjNbr, t.adjEdge, t.adjFwd)
+    val budget = t.numNodes
+    // With m = 1 the lone FrontierS walker sometimes starts on the isolated node.
+    for (s <- allSamplers :+ FrontierSampler(m = 1); seed <- 1 to 20) {
+      val out = s.sample(g, budget, new Random(seed))
+      assert(out.nodeIdx.forall(i => i >= 0 && i < g.numNodes), s"${s.name} seed $seed")
+      assert(out.nodeIdx.distinct.length == out.size, s"${s.name} seed $seed")
+      val filled = out.edgeIdx.fold(out.size)(_.length)
+      assert(filled == budget, s"${s.name} seed $seed: $filled of $budget")
     }
   }
   test("budget of 1 yields a single node") {
