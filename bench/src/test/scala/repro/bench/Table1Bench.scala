@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.eval.Tables
 
 /** Paper Table 1 — dataset statistics.
@@ -12,9 +13,9 @@ import repro.eval.Tables
   * Our synthetic substitutes preserve the type structure and relative
   * density ordering at bench scale (DESIGN.md §4).
   */
-class Table1Bench extends SparkSpec {
+class Table1Bench extends AnyFunSuite {
 
-  private lazy val rows = Tables.table1(spark, BenchShared.cfg)
+  private lazy val rows = Tables.table1(BenchShared.graphs)
 
   test("Table 1: print dataset statistics") {
     println(Tables.renderTable1(rows))

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.eval.Tables
 
 /** Paper Table 2 — average execution time (s) of PHASE vs PHASE_opt on DBLP.
@@ -12,9 +13,9 @@ import repro.eval.Tables
   * DBLP, with comparable estimates (<5% accuracy loss per §4.3; we assert a
   * generous relative-estimate bound at this scale).
   */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends AnyFunSuite {
 
-  private lazy val rows = Tables.table2(spark, BenchShared.cfg)
+  private lazy val rows = Tables.table2(BenchShared.graphs.toMap.apply("DBLP"), BenchShared.cfg)
 
   test("Table 2: print PHASE vs PHASEopt timings") {
     println(Tables.renderTable2(rows))

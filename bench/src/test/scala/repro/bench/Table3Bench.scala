@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.eval.Tables
 
 /** Paper Table 3 — accuracy of the 12 samplers on 3 datasets x 3 kinds.
@@ -11,7 +12,7 @@ import repro.eval.Tables
   *    (DBLP path row: 0 / 0 / 0 in the paper);
   *  - walk-based samplers sit in between.
   */
-class Table3Bench extends SparkSpec {
+class Table3Bench extends AnyFunSuite {
 
   private lazy val grid = BenchShared.grid
 

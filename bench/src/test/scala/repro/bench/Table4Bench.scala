@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.eval.Tables
 
 /** Paper Table 4 — execution time (s) of the 12 samplers on the same grid.
@@ -10,7 +11,7 @@ import repro.eval.Tables
   *  - PHASE_opt's time does not blow up relative to the walk-based
   *    samplers (its complexity is O(B), §3.2.2): never the runaway worst.
   */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends AnyFunSuite {
 
   private lazy val grid = BenchShared.grid
 

@@ -12,8 +12,8 @@ import repro.hypotheses.Catalog
 object CalibrateJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSpark.session("calibrate")
-    for ((name, ag) <- Tables.datasets(spark, Tables.config())) {
-      val lg = LocalGraph.fromAttributed(ag)
+    val graphs = try Tables.datasets(spark, Tables.config()) finally spark.stop()
+    for ((name, lg) <- graphs) {
       println(f"== $name: ${lg.numNodes}%,d nodes ${lg.numEdges}%,d edges")
       val hs = Catalog.all(name)
       val extra = if (name == "DBLP") Catalog.dblpLongPaths else Nil
@@ -25,6 +25,5 @@ object CalibrateJob {
           f"relevant=${r.nRelevant}%,10d decision=${r.decision.getOrElse("n/a")}%-5s c=${h.c} (${ms}%.0f ms)")
       }
     }
-    spark.stop()
   }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types._
 
 /** An attributed graph (paper Def. 1) backed by two DataFrames.
   *
@@ -11,93 +13,60 @@ import org.apache.spark.sql.functions._
   * plus flat attribute columns. Edges are directed; the inverse relation
   * r^-1 is available implicitly (walkers may traverse edges backwards and
   * path steps may be declared `reversed`).
+  *
+  * This is the ingestion format only: everything after ingestion reads the
+  * driver-side [[LocalGraph]] built from it, and only the Catalyst reference
+  * evaluator ([[SparkEvaluator]]) reads the DataFrames.
   */
 final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
   require(Seq("id", "ntype").forall(nodes.columns.contains(_)),
     s"nodes needs id/ntype columns, got ${nodes.columns.mkString(",")}")
   require(Seq("src", "dst", "etype").forall(edges.columns.contains(_)),
     s"edges needs src/dst/etype columns, got ${edges.columns.mkString(",")}")
-
-  def numNodes: Long = nodes.count()
-  def numEdges: Long = edges.count()
-
-  /** Directed density |E| / (|V| * (|V|-1)), as reported in paper Table 1. */
-  def density: Double = {
-    val v = numNodes.toDouble
-    if (v <= 1) 0.0 else numEdges.toDouble / (v * (v - 1))
-  }
-
-  def nodeTypes: Seq[String] =
-    nodes.select("ntype").distinct().collect().map(_.getString(0)).toSeq.sorted
-  def edgeTypes: Seq[String] =
-    edges.select("etype").distinct().collect().map(_.getString(0)).toSeq.sorted
-
-  /** Total (in+out) degree per node id; nodes with no edges are kept with 0. */
-  def degrees: DataFrame = {
-    val ends = edges.select(col("src") as "id")
-      .unionAll(edges.select(col("dst") as "id"))
-    nodes.select("id").join(ends.groupBy("id").agg(count(lit(1)) as "degree"), Seq("id"), "left")
-      .select(col("id"), coalesce(col("degree"), lit(0L)) as "degree")
-  }
-
-  /** Induced subgraph on the given node ids: keeps every edge whose both
-    * endpoints survive (the paper's S for node-collecting samplers).
-    */
-  def inducedSubgraph(nodeIds: DataFrame): AttributedGraph = {
-    val keep = nodeIds.select(col(nodeIds.columns.head) as "id").distinct()
-    val n2 = nodes.join(keep, Seq("id"), "left_semi")
-    val e2 = edges
-      .join(keep.select(col("id") as "src"), Seq("src"), "left_semi")
-      .join(keep.select(col("id") as "dst"), Seq("dst"), "left_semi")
-    AttributedGraph(n2, e2)
-  }
 }
 
 object AttributedGraph {
   /** Convenience constructor from in-memory tuples (tests / tiny graphs).
     * `nodeRows` = (id, ntype, attrs); `edgeRows` = (src, dst, etype, attrs).
-    * Attribute maps may have heterogeneous value types; each distinct key
-    * becomes a column typed by its first non-null value (Double/Long -> double,
-    * otherwise string).
+    * A `null` value counts as absent. Each key with a value becomes a
+    * nullable column: double if its values are numeric (any type
+    * [[Attr.num]] reads), string otherwise. A key whose values mix numeric
+    * and non-numeric types is rejected.
     */
   def fromTuples(
       spark: SparkSession,
       nodeRows: Seq[(Long, String, Map[String, Any])],
       edgeRows: Seq[(Long, Long, String, Map[String, Any])]): AttributedGraph = {
-    import org.apache.spark.sql.Row
-    import org.apache.spark.sql.types._
 
-    def numeric(v: Any): Boolean = Attr.num(v).isDefined
-
-    def build(keys: Seq[String], isNum: Map[String, Boolean],
-              base: StructType, rows: Seq[Row]): DataFrame = {
-      val schema = keys.foldLeft(base) { (s, k) =>
-        s.add(k, if (isNum(k)) DoubleType else StringType, nullable = true)
+    /** One table: the structural columns `base`, then one attribute column
+      * per key in sorted order.
+      */
+    def table(base: StructType, rows: Seq[(Seq[Any], Map[String, Any])]): DataFrame = {
+      val isNum = mutable.TreeMap.empty[String, Boolean]
+      for ((_, attrs) <- rows; (k, v) <- attrs if v != null) {
+        val num = Attr.num(v).isDefined
+        require(isNum.getOrElseUpdate(k, num) == num,
+          s"attribute '$k' mixes numeric and non-numeric values")
       }
-      spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), schema)
+      val schema = isNum.foldLeft(base) { case (s, (k, num)) =>
+        s.add(k, if (num) DoubleType else StringType, nullable = true)
+      }
+      val cells = rows.map { case (fixed, attrs) =>
+        Row.fromSeq(fixed ++ isNum.iterator.map { case (k, num) =>
+          attrs.get(k) match {
+            case Some(v) if v != null => if (num) Double.box(Attr.num(v).get) else String.valueOf(v)
+            case _                    => null
+          }
+        })
+      }
+      spark.createDataFrame(spark.sparkContext.parallelize(cells.toList), schema)
     }
 
-    val nKeys  = nodeRows.flatMap(_._3.keys).distinct.sorted
-    val nIsNum = nKeys.map(k => k -> nodeRows.flatMap(_._3.get(k)).exists(numeric)).toMap
-    def attrCell(isNum: Boolean, v: Option[Any]): Any = v match {
-      case None => null
-      case Some(x) => if (isNum) Attr.num(x).map(Double.box).orNull else String.valueOf(x)
-    }
-    val nRows = nodeRows.map { case (id, t, m) =>
-      Row.fromSeq(Seq(id, t) ++ nKeys.map(k => attrCell(nIsNum(k), m.get(k))))
-    }
-    val nodesDf = build(nKeys, nIsNum,
-      new StructType().add("id", LongType, false).add("ntype", StringType, false), nRows)
-
-    val eKeys  = edgeRows.flatMap(_._4.keys).distinct.sorted
-    val eIsNum = eKeys.map(k => k -> edgeRows.flatMap(_._4.get(k)).exists(numeric)).toMap
-    val eRows = edgeRows.map { case (s, d, t, m) =>
-      Row.fromSeq(Seq(s, d, t) ++ eKeys.map(k => attrCell(eIsNum(k), m.get(k))))
-    }
-    val edgesDf = build(eKeys, eIsNum,
-      new StructType().add("src", LongType, false).add("dst", LongType, false)
-        .add("etype", StringType, false), eRows)
-
-    AttributedGraph(nodesDf, edgesDf)
+    AttributedGraph(
+      table(new StructType().add("id", LongType, false).add("ntype", StringType, false),
+        nodeRows.map { case (id, t, m) => (Seq(id, t), m) }),
+      table(new StructType().add("src", LongType, false).add("dst", LongType, false)
+        .add("etype", StringType, false),
+        edgeRows.map { case (s, d, t, m) => (Seq(s, d, t), m) }))
   }
 }

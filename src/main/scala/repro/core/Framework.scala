@@ -17,9 +17,9 @@ trait Sampler {
   */
 object Framework {
 
-  /** Outcome of a single sample-and-test run. `totalMillis` is sampling +
-    * extraction, the time the paper's Tables 2 and 4 report; the t-test is
-    * timed separately (0 when no t-test ran).
+  /** Outcome of a single sample-and-test run. Sampling + extraction is the
+    * time the paper's Tables 2 and 4 report ([[Accuracy.avgTotalMillis]]);
+    * the t-test is timed separately (0 when no t-test ran).
     */
   final case class RunOutcome(
       result: EvalResult,
@@ -27,9 +27,7 @@ object Framework {
       sampleMillis: Double,
       extractMillis: Double,
       ttestMillis: Double,
-      sampledNodes: Int) {
-    def totalMillis: Double = sampleMillis + extractMillis
-  }
+      sampledNodes: Int)
 
   /** Accuracy + timing over repeated runs (paper §4.2). */
   final case class Accuracy(

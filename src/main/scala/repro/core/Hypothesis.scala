@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** Comparison operators used both in attribute predicates (modifiers) and in
   * the hypothesis predicate `P_c^o` (paper §2.2, o ∈ {=, <>, >, <}).
   */
@@ -18,40 +15,24 @@ sealed trait CmpOp {
   }
   protected def evalD(a: Double, b: Double): Boolean
   protected def evalS(a: String, b: String): Boolean
-  /** Render as a Spark SQL `Column` predicate. */
-  def column(l: Column, r: Column): Column
 }
 
 object CmpOp {
   case object Eq extends CmpOp {
     protected def evalD(a: Double, b: Double) = math.abs(a - b) <= 1e-9
     protected def evalS(a: String, b: String) = a == b
-    def column(l: Column, r: Column): Column  = l === r
   }
   case object Ne extends CmpOp {
     protected def evalD(a: Double, b: Double) = math.abs(a - b) > 1e-9
     protected def evalS(a: String, b: String) = a != b
-    def column(l: Column, r: Column): Column  = l =!= r
   }
   case object Gt extends CmpOp {
     protected def evalD(a: Double, b: Double) = a > b
     protected def evalS(a: String, b: String) = a > b
-    def column(l: Column, r: Column): Column  = l > r
   }
   case object Lt extends CmpOp {
     protected def evalD(a: Double, b: Double) = a < b
     protected def evalS(a: String, b: String) = a < b
-    def column(l: Column, r: Column): Column  = l < r
-  }
-  case object Ge extends CmpOp {
-    protected def evalD(a: Double, b: Double) = a >= b
-    protected def evalS(a: String, b: String) = a >= b
-    def column(l: Column, r: Column): Column  = l >= r
-  }
-  case object Le extends CmpOp {
-    protected def evalD(a: Double, b: Double) = a <= b
-    protected def evalS(a: String, b: String) = a <= b
-    def column(l: Column, r: Column): Column  = l <= r
   }
 }
 
@@ -80,8 +61,6 @@ final case class AttrPred(attr: String, op: CmpOp, value: Any) {
       case Some(v) if v != null => op.eval(v, value)
       case _                    => false
     }
-  /** Catalyst rendering over a node/edge DataFrame with flat attribute columns. */
-  def column: Column = op.column(col(attr), lit(value))
 }
 
 /** A node modifier `M_t`: a node type plus zero or more attribute predicates
@@ -91,9 +70,6 @@ final case class AttrPred(attr: String, op: CmpOp, value: Any) {
 final case class Modifier(ntype: String, preds: Seq[AttrPred] = Nil) {
   def matches(nodeType: String, attrs: Map[String, Any]): Boolean =
     nodeType == ntype && preds.forall(_.matches(attrs))
-  /** Catalyst rendering over the nodes DataFrame (`ntype` column + attrs). */
-  def column: Column =
-    preds.foldLeft(col("ntype") === lit(ntype))((acc, p) => acc && p.column)
 }
 
 /** One hop of a path: an edge type, possibly traversed against its stored

@@ -3,6 +3,8 @@ package repro.core
 import java.util.concurrent.ConcurrentHashMap
 import scala.collection.mutable
 
+import org.apache.spark.sql.{DataFrame, Row}
+
 /** A compact driver-side mirror of an [[AttributedGraph]].
   *
   * Random-walk samplers (paper §3) are inherently sequential — one budget
@@ -108,63 +110,25 @@ object LocalGraph {
     * columns other than the structural ones; nulls are dropped from the maps.
     */
   def fromAttributed(g: AttributedGraph): LocalGraph = {
-    val nodeAttrCols = g.nodes.columns.filterNot(c => c == "id" || c == "ntype")
-    val edgeAttrCols = g.edges.columns.filterNot(c => c == "src" || c == "dst" || c == "etype")
-
-    val nRows = g.nodes.collect()
-    val n = nRows.length
-    val ids = new Array[Long](n)
-    val ntypeTable = mutable.LinkedHashMap.empty[String, Int]
-    val ntypeOf = new Array[Int](n)
-    val nAttrs = new Array[Map[String, Any]](n)
+    val nodes = collect(g.nodes, "ntype", Set("id", "ntype"))
+    val n = nodes.rows.length
     val idCol = g.nodes.columns.indexOf("id")
-    val ntCol = g.nodes.columns.indexOf("ntype")
-    val naCols = nodeAttrCols.map(c => g.nodes.columns.indexOf(c))
-    var i = 0
-    while (i < n) {
-      val r = nRows(i)
-      ids(i) = r.getLong(idCol)
-      val t = r.getString(ntCol)
-      ntypeOf(i) = ntypeTable.getOrElseUpdate(t, ntypeTable.size)
-      val m = Map.newBuilder[String, Any]
-      var k = 0
-      while (k < naCols.length) {
-        val v = r.get(naCols(k))
-        if (v != null) m += nodeAttrCols(k) -> v
-        k += 1
-      }
-      nAttrs(i) = m.result()
-      i += 1
-    }
+    val ids = nodes.rows.map(_.getLong(idCol))
     val idToIdx = indexIds(ids)
 
-    val eRows = g.edges.collect()
-    val mEdges = eRows.length
+    val edges = collect(g.edges, "etype", Set("src", "dst", "etype"))
+    val mEdges = edges.rows.length
     val eSrc = new Array[Int](mEdges)
     val eDst = new Array[Int](mEdges)
-    val etypeTable = mutable.LinkedHashMap.empty[String, Int]
-    val etypeOf = new Array[Int](mEdges)
-    val eAttrs = new Array[Map[String, Any]](mEdges)
     val sCol = g.edges.columns.indexOf("src")
     val dCol = g.edges.columns.indexOf("dst")
-    val tCol = g.edges.columns.indexOf("etype")
-    val eaCols = edgeAttrCols.map(c => g.edges.columns.indexOf(c))
-    i = 0
+    var i = 0
     while (i < mEdges) {
-      val r = eRows(i)
+      val r = edges.rows(i)
       val s = idToIdx.get(r.getLong(sCol)); val d = idToIdx.get(r.getLong(dCol))
       require(s != null && d != null,
         s"edge references unknown node: ${r.getLong(sCol)} -> ${r.getLong(dCol)}")
       eSrc(i) = s.intValue(); eDst(i) = d.intValue()
-      etypeOf(i) = etypeTable.getOrElseUpdate(r.getString(tCol), etypeTable.size)
-      val m = Map.newBuilder[String, Any]
-      var k = 0
-      while (k < eaCols.length) {
-        val v = r.get(eaCols(k))
-        if (v != null) m += edgeAttrCols(k) -> v
-        k += 1
-      }
-      eAttrs(i) = m.result()
       i += 1
     }
 
@@ -187,8 +151,41 @@ object LocalGraph {
       i += 1
     }
 
-    new LocalGraph(ids, ntypeTable.keys.toArray, ntypeOf, nAttrs,
-      etypeTable.keys.toArray, eSrc, eDst, etypeOf, eAttrs, off, nbr, edg, fwd)
+    new LocalGraph(ids, nodes.types, nodes.typeOf, nodes.attrs,
+      edges.types, eSrc, eDst, edges.typeOf, edges.attrs, off, nbr, edg, fwd)
+  }
+
+  /** One collected table: its rows, each row's type interned in order of
+    * first appearance (`types(typeOf(i))` is row i's `typeCol`), and each
+    * row's attribute map over the columns outside `structural`, null cells
+    * dropped.
+    */
+  private final case class Collected(rows: Array[Row], types: Array[String],
+      typeOf: Array[Int], attrs: Array[Map[String, Any]])
+
+  private def collect(df: DataFrame, typeCol: String, structural: Set[String]): Collected = {
+    val cols = df.columns
+    val tCol = cols.indexOf(typeCol)
+    val attrCols = cols.indices.filterNot(c => structural(cols(c))).toArray
+    val rows = df.collect()
+    val table = mutable.LinkedHashMap.empty[String, Int]
+    val typeOf = new Array[Int](rows.length)
+    val attrs = new Array[Map[String, Any]](rows.length)
+    var i = 0
+    while (i < rows.length) {
+      val r = rows(i)
+      typeOf(i) = table.getOrElseUpdate(r.getString(tCol), table.size)
+      val m = Map.newBuilder[String, Any]
+      var k = 0
+      while (k < attrCols.length) {
+        val v = r.get(attrCols(k))
+        if (v != null) m += cols(attrCols(k)) -> v
+        k += 1
+      }
+      attrs(i) = m.result()
+      i += 1
+    }
+    Collected(rows, table.keys.toArray, typeOf, attrs)
   }
 }
 

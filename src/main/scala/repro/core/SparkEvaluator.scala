@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Catalyst-based hypothesis evaluator.
@@ -16,6 +16,20 @@ import org.apache.spark.sql.functions._
   */
 object SparkEvaluator {
 
+  /** Modifier M as a filter over the nodes DataFrame: the `ntype` column
+    * plus one comparison per attribute predicate.
+    */
+  private def modifierColumn(m: Modifier): Column =
+    m.preds.foldLeft(col("ntype") === lit(m.ntype)) { (acc, p) =>
+      val (l, r) = (col(p.attr), lit(p.value))
+      acc && (p.op match {
+        case CmpOp.Eq => l === r
+        case CmpOp.Ne => l =!= r
+        case CmpOp.Gt => l > r
+        case CmpOp.Lt => l < r
+      })
+    }
+
   /** One row per relevant path instance: columns `n0_id .. nl_id` and `fval`
     * (the f_P value; null when the target attribute is absent).
     */
@@ -24,7 +38,7 @@ object SparkEvaluator {
     val l = p.length
 
     def nodeDf(i: Int): DataFrame = {
-      val base = g.nodes.filter(p.modifiers(i).column)
+      val base = g.nodes.filter(modifierColumn(p.modifiers(i)))
       val cols = Seq(col("id").as(s"n${i}_id")) ++ (h.target match {
         case NodeAttrTarget(pos, attr) if pos == i =>
           Seq(col(attr).cast("double").as("fval"))

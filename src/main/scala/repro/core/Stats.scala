@@ -153,8 +153,6 @@ object Stats {
       val pv = op match {
         case CmpOp.Gt => if (mean > c) 0.0 else 1.0
         case CmpOp.Lt => if (mean < c) 0.0 else 1.0
-        case CmpOp.Ge => if (mean >= c) 0.0 else 1.0
-        case CmpOp.Le => if (mean <= c) 0.0 else 1.0
         case _        => if (math.abs(mean - c) <= 1e-9) 1.0 else 0.0
       }
       val t = if (mean > c) Double.PositiveInfinity
@@ -164,9 +162,9 @@ object Stats {
       val df = (n - 1).toDouble
       val t = (mean - c) / se
       val pv = op match {
-        case CmpOp.Gt | CmpOp.Ge => 1.0 - tCdf(t, df)
-        case CmpOp.Lt | CmpOp.Le => tCdf(t, df)
-        case _                   => 2.0 * (1.0 - tCdf(math.abs(t), df))
+        case CmpOp.Gt => 1.0 - tCdf(t, df)
+        case CmpOp.Lt => tCdf(t, df)
+        case _        => 2.0 * (1.0 - tCdf(math.abs(t), df))
       }
       val tq = tQuantile(1.0 - alpha / 2.0, df)
       TTest(n, mean, sd, se, t, pv, mean - tq * se, mean + tq * se)

@@ -20,11 +20,15 @@ object Tables {
     scale = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0),
     runs = sys.env.get("REPRO_RUNS").map(_.toInt).getOrElse(10))
 
-  /** Bench-scale datasets in paper order. */
-  def datasets(spark: SparkSession, cfg: Config): Seq[(String, AttributedGraph)] = Seq(
+  /** Bench-scale datasets in paper order, generated and collected to the
+    * driver. The only harness step that uses Spark; every table reads the
+    * [[LocalGraph]]s it returns.
+    */
+  def datasets(spark: SparkSession, cfg: Config): Seq[(String, LocalGraph)] = Seq(
     "MovieLens" -> GraphGen.movieLens(spark, cfg.scale),
     "DBLP" -> GraphGen.dblp(spark, cfg.scale),
     "Yelp" -> GraphGen.yelp(spark, cfg.scale))
+    .map { case (name, ag) => name -> LocalGraph.fromAttributed(ag) }
 
   /** Sampling proportion (% of |V|) per (dataset, hypothesis kind).
     *
@@ -64,10 +68,15 @@ object Tables {
   final case class DatasetStats(name: String, nodes: Long, edges: Long,
       density: Double, nodeTypes: Int, edgeTypes: Int)
 
-  def table1(spark: SparkSession, cfg: Config): Seq[DatasetStats] =
-    datasets(spark, cfg).map { case (name, g) =>
-      DatasetStats(name, g.numNodes, g.numEdges, g.density,
-        g.nodeTypes.size, g.edgeTypes.size)
+  /** Directed density |E| / (|V| (|V|-1)), as reported in paper Table 1. */
+  def density(g: LocalGraph): Double = {
+    val v = g.numNodes.toDouble
+    if (v <= 1) 0.0 else g.numEdges.toDouble / (v * (v - 1))
+  }
+
+  def table1(graphs: Seq[(String, LocalGraph)]): Seq[DatasetStats] =
+    graphs.map { case (name, g) =>
+      DatasetStats(name, g.numNodes, g.numEdges, density(g), g.ntypes.length, g.etypes.length)
     }
 
   def renderTable1(rows: Seq[DatasetStats]): String = {
@@ -93,33 +102,24 @@ object Tables {
     */
   val table2ProportionPct: Double = 5.0
 
-  /** PHASE vs PHASE_opt wall-clock (sampling + extraction), DBLP (§4.3). */
-  def table2(spark: SparkSession, cfg: Config): Seq[Table2Row] = {
-    val ag = GraphGen.dblp(spark, cfg.scale)
-    val lg = LocalGraph.fromAttributed(ag)
+  /** PHASE vs PHASE_opt wall-clock (sampling + extraction) on the DBLP graph
+    * (§4.3): per sampler one warm-up run, then `cfg.runs` runs with seeds
+    * `cfg.seed + 1 .. cfg.seed + cfg.runs`.
+    */
+  def table2(dblp: LocalGraph, cfg: Config): Seq[Table2Row] =
     Seq("node" -> Catalog.dblp.node.head,
         "edge" -> Catalog.dblp.edge.head,
         "path" -> Catalog.dblp.path.head).map { case (kind, h) =>
-      val budget = math.max(1,
-        (table2ProportionPct / 100.0 * lg.numNodes).toInt)
-      def measure(s: Sampler): (Double, Option[Double]) = {
-        // one warm-up run, then timed runs
-        Framework.runOnce(lg, h, s, budget, new Random(cfg.seed))
-        var total = 0.0
-        var estSum = 0.0
-        var estN = 0
-        for (r <- 1 to cfg.runs) {
-          val out = Framework.runOnce(lg, h, s, budget, new Random(cfg.seed + r))
-          total += out.totalMillis
-          out.result.estimate.foreach { e => estSum += e; estN += 1 }
-        }
-        (total / cfg.runs, if (estN > 0) Some(estSum / estN) else None)
+      val budget = math.max(1, (table2ProportionPct / 100.0 * dblp.numNodes).toInt)
+      lazy val truth = Framework.groundTruth(dblp, h)
+      def measure(s: Sampler): Framework.Accuracy = {
+        Framework.runOnce(dblp, h, s, budget, new Random(cfg.seed))
+        Framework.accuracy(dblp, h, s, budget, cfg.runs, cfg.seed + 1, truth)
       }
-      val (pMs, pEst) = measure(PhaseSampler(h))
-      val (oMs, oEst) = measure(PhaseOptSampler(h))
-      Table2Row(kind, h.name, pMs, oMs, pEst, oEst)
+      val p = measure(PhaseSampler(h))
+      val o = measure(PhaseOptSampler(h))
+      Table2Row(kind, h.name, p.avgTotalMillis, o.avgTotalMillis, p.avgEstimate, o.avgEstimate)
     }
-  }
 
   def renderTable2(rows: Seq[Table2Row]): String = {
     val sb = new StringBuilder
@@ -151,11 +151,10 @@ object Tables {
   }
 
   /** Runs the full Table 3/4 grid: 3 datasets x 3 kinds x 12 samplers. */
-  def grid(spark: SparkSession, cfg: Config,
+  def grid(graphs: Seq[(String, LocalGraph)], cfg: Config,
            progress: String => Unit = _ => ()): Grid = {
     val cells = for {
-      (dsName, ag) <- datasets(spark, cfg)
-      lg = LocalGraph.fromAttributed(ag)
+      (dsName, lg) <- graphs
       kind <- Seq("node", "edge", "path")
     } yield {
       val prop = proportions((dsName, kind))
@@ -164,16 +163,10 @@ object Tables {
       val truths = hyps.map(h => h -> Framework.groundTruth(lg, h)).toMap
       progress(s"$dsName/$kind: budget=$budget, ${hyps.size} hypotheses x ${cfg.runs} runs")
       samplerColumns.map { sName =>
-        var accSum = 0.0
-        var msSum = 0.0
-        for (h <- hyps) {
-          val sampler = samplersFor(h)(sName)
-          val a = Framework.accuracy(lg, h, sampler, budget, cfg.runs,
-            cfg.seed ^ h.name.hashCode.toLong, truths(h))
-          accSum += a.accuracy
-          msSum += a.avgTotalMillis
-        }
-        GridCell(dsName, kind, sName, prop, accSum / hyps.size, msSum / hyps.size)
+        val accs = hyps.map(h => Framework.accuracy(lg, h, samplersFor(h)(sName), budget,
+          cfg.runs, cfg.seed ^ h.name.hashCode.toLong, truths(h)))
+        GridCell(dsName, kind, sName, prop,
+          accs.map(_.accuracy).sum / hyps.size, accs.map(_.avgTotalMillis).sum / hyps.size)
       }
     }
     Grid(cells.flatten)

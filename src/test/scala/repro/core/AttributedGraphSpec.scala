@@ -1,46 +1,32 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
+import org.apache.spark.sql.functions.col
 
-/** DataFrame-backed attributed graph model. */
+import repro.{SparkSpec, TestGraphs}
+import repro.eval.Tables
+
+/** DataFrame-backed attributed graph model: `fromTuples` typing and
+  * validation, and the Table 1 statistics of the graph it ingests.
+  */
 class AttributedGraphSpec extends SparkSpec {
 
   private lazy val g = TestGraphs.tiny
+  private lazy val stats = Tables.table1(Seq("tiny" -> TestGraphs.tinyLocal)).head
 
   test("node and edge counts") {
-    assert(g.numNodes == 10)
-    assert(g.numEdges == 12)
+    assert(stats.nodes == 10)
+    assert(stats.edges == 12)
   }
   test("node types enumerated") {
-    assert(g.nodeTypes == Seq("author", "fos", "paper", "venue"))
+    assert(TestGraphs.tinyLocal.ntypes.sorted.toSeq == Seq("author", "fos", "paper", "venue"))
+    assert(stats.nodeTypes == 4)
   }
   test("edge types enumerated") {
-    assert(g.edgeTypes == Seq("Authorship", "Cites", "PublishedIn", "WithDomain"))
+    assert(TestGraphs.tinyLocal.etypes.sorted.toSeq == Seq("Authorship", "Cites", "PublishedIn", "WithDomain"))
+    assert(stats.edgeTypes == 4)
   }
   test("density is |E| / (|V| (|V|-1))") {
-    assert(math.abs(g.density - 12.0 / (10 * 9)) < 1e-12)
-  }
-  test("degrees counts in+out edges") {
-    val deg = g.degrees.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(deg(11L) == 5) // p1: 2 authorship + venue + fos + cites
-    assert(deg(12L) == 5) // p2: 2 authorship + venue + fos + cited
-    assert(deg(1L) == 2)  // a1 on p1 and p3
-    assert(deg(21L) == 2) // v1 hosts p1, p3
-  }
-  test("degrees keeps all nodes") {
-    assert(g.degrees.count() == 10)
-  }
-  test("induced subgraph keeps only edges with both endpoints") {
-    import spark.implicits._
-    val sub = g.inducedSubgraph(Seq(1L, 11L, 2L).toDF("id"))
-    assert(sub.numNodes == 3)
-    // Only the two Authorship edges p1->a1, p1->a2 survive.
-    assert(sub.numEdges == 2)
-    assert(sub.edges.select("etype").distinct().collect().map(_.getString(0)).toSeq == Seq("Authorship"))
-  }
-  test("induced subgraph on all nodes is identity") {
-    val sub = g.inducedSubgraph(g.nodes.select("id"))
-    assert(sub.numNodes == g.numNodes && sub.numEdges == g.numEdges)
+    assert(math.abs(stats.density - 12.0 / (10 * 9)) < 1e-12)
   }
   test("fromTuples types numeric attributes as double") {
     val schema = g.nodes.schema
@@ -48,8 +34,28 @@ class AttributedGraphSpec extends SparkSpec {
     assert(schema("venue_type").dataType.typeName == "string")
   }
   test("fromTuples leaves absent attributes null") {
-    val authors = g.nodes.filter(org.apache.spark.sql.functions.col("ntype") === "author")
-    assert(authors.filter(org.apache.spark.sql.functions.col("citation").isNotNull).count() == 0)
+    val authors = g.nodes.filter(col("ntype") === "author")
+    assert(authors.filter(col("citation").isNotNull).count() == 0)
+  }
+  test("fromTuples reads a null value as absent") {
+    val ag = AttributedGraph.fromTuples(spark,
+      nodeRows = Seq(
+        (1L, "venue", Map[String, Any]("vtype" -> "conference")),
+        (2L, "venue", Map[String, Any]("vtype" -> null))),
+      edgeRows = Seq((1L, 2L, "Cites", Map[String, Any]("note" -> null))))
+    assert(ag.nodes.orderBy("id").select("vtype").collect().map(_.get(0)).toSeq ==
+      Seq("conference", null))
+    assert(!ag.edges.columns.contains("note"))
+  }
+  test("fromTuples rejects a key that mixes numeric and non-numeric values") {
+    val e = intercept[IllegalArgumentException] {
+      AttributedGraph.fromTuples(spark,
+        nodeRows = Seq(
+          (1L, "paper", Map[String, Any]("year" -> 2020.0)),
+          (2L, "paper", Map[String, Any]("year" -> "unknown"))),
+        edgeRows = Nil)
+    }
+    assert(e.getMessage.contains("'year'"))
   }
   test("constructor validates required columns") {
     intercept[IllegalArgumentException] {

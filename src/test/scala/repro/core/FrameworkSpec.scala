@@ -23,7 +23,6 @@ class FrameworkSpec extends SparkSpec {
     val out = Framework.runOnce(lg, h, RandomNodeSampler(), 300, new Random(1))
     assert(out.sampledNodes == 300)
     assert(out.sampleMillis >= 0 && out.extractMillis >= 0 && out.ttestMillis >= 0)
-    assert(out.totalMillis == out.sampleMillis + out.extractMillis)
   }
 
   test("runOnce attaches a t-test for Avg hypotheses with relevant values") {

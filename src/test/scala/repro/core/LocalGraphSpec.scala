@@ -19,9 +19,13 @@ class LocalGraphSpec extends SparkSpec {
     assert(g.indexOf(999L) == -1)
   }
   test("degrees match the DataFrame computation") {
-    val dfDeg = TestGraphs.tiny.degrees.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    // Total (in+out) degree: one count per endpoint of the DataFrame's edge rows.
+    val ends = TestGraphs.tiny.edges.collect()
+      .flatMap(r => Seq(r.getAs[Long]("src"), r.getAs[Long]("dst")))
     for (i <- 0 until g.numNodes)
-      assert(g.degree(i) == dfDeg(g.ids(i)), s"degree mismatch at node ${g.ids(i)}")
+      assert(g.degree(i) == ends.count(_ == g.ids(i)), s"degree mismatch at node ${g.ids(i)}")
+    assert(g.degree(g.indexOf(11L)) == 5) // p1: 2 authorship + venue + fos + cites
+    assert(g.degree(g.indexOf(1L)) == 2)  // a1 on p1 and p3
   }
   test("every directed edge appears as one forward and one reverse half-edge") {
     var fwd = 0

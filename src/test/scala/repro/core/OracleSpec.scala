@@ -1,15 +1,16 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
 
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{Oracle, PropSupport, SparkSpec, TestGraphs}
 import repro.core.CmpOp._
 import repro.hypotheses.Catalog
 
 /** Correctness of the Catalyst evaluator against (a) DuckDB SQL over the
   * same node/edge tables and (b) the driver-side LocalEvaluator.
   */
-class OracleSpec extends SparkSpec {
+class OracleSpec extends SparkSpec with PropSupport {
 
   private lazy val g = TestGraphs.tiny
   private lazy val lg = TestGraphs.tinyLocal
@@ -149,5 +150,87 @@ class OracleSpec extends SparkSpec {
     val h = Hypothesis("p", coauthor, NodeAttrTarget(1, "citation"), Agg.Avg, Gt, 0)
     val r = SparkEvaluator.evaluate(g, h, collectValues = true)
     assert(r.values.sorted.toSeq == Seq(10.0, 10.0, 100.0, 100.0))
+  }
+
+  // ------------------------- LocalEvaluator vs SparkEvaluator, random graphs
+
+  private type NodeRow = (Long, String, Map[String, Any])
+  private type EdgeRow = (Long, Long, String, Map[String, Any])
+
+  /** 3–10 nodes of types a/b joined by random r/s edges, plus one isolated
+    * node, a self-loop and a repeated edge. Node attributes x (small
+    * integers) and s (string or null) and edge attribute w (quarters) may be
+    * absent; the first node and first edge carry them all, so every
+    * attribute has a column. Sums of these values are exact in any order,
+    * so both evaluators must agree exactly.
+    */
+  private val genGraph: Gen[(Seq[NodeRow], Seq[EdgeRow])] = {
+    val x = Gen.option(Gen.choose(0, 20).map(v => "x" -> (v.toDouble: Any)))
+    val str = Gen.option(Gen.oneOf[Any]("u", "v", "w", null).map("s" -> _))
+    val w = Gen.option(Gen.choose(0, 8).map(v => "w" -> (v / 4.0: Any)))
+    for {
+      n <- Gen.choose(3, 10)
+      types <- Gen.listOfN(n + 1, Gen.oneOf("a", "b"))
+      attrs <- Gen.listOfN(n + 1, Gen.zip(x, str).map { case (a, b) => (a ++ b).toMap })
+      m <- Gen.choose(1, 2 * n)
+      edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1),
+        Gen.oneOf("r", "s"), w.map(_.toMap)))
+      loop <- Gen.choose(0, n - 1)
+    } yield {
+      val nodes = (0 to n).map { i =>
+        (i * 7L, types(i), if (i == 0) attrs(i) ++ Map("x" -> 3.0, "s" -> "v") else attrs(i))
+      }
+      val es = edges.map { case (a, b, t, ws) => (a * 7L, b * 7L, t, ws) }
+      val first = es.head.copy(_4 = es.head._4 ++ Map("w" -> 0.5))
+      (nodes, (first +: es.tail) ++ Seq((loop * 7L, loop * 7L, "r", Map.empty[String, Any]), first))
+    }
+  }
+
+  /** A hypothesis of length 0–2 over types a/b and edge types r/s, where c
+    * and t (absent from every graph) occur now and then.
+    */
+  private val genHypothesis: Gen[Hypothesis] = {
+    val pred = Gen.oneOf(
+      Gen.zip(Gen.oneOf(Eq, Ne, Gt, Lt), Gen.choose(0, 20)).map { case (o, c) => AttrPred("x", o, c.toDouble) },
+      Gen.zip(Gen.oneOf(Eq, Ne, Gt, Lt), Gen.oneOf("u", "v", "w")).map { case (o, c) => AttrPred("s", o, c) })
+    val modifier = for {
+      t <- Gen.frequency(4 -> "a", 4 -> "b", 1 -> "c")
+      k <- Gen.frequency(2 -> 0, 1 -> 1)
+      preds <- Gen.listOfN(k, pred)
+    } yield Modifier(t, preds)
+    val step = Gen.zip(Gen.frequency(4 -> "r", 4 -> "s", 1 -> "t"), Gen.oneOf(false, true))
+      .map { case (t, rev) => PathStep(t, rev) }
+    for {
+      l <- Gen.choose(0, 2)
+      mods <- Gen.listOfN(l + 1, modifier)
+      steps <- Gen.listOfN(l, step)
+      agg <- Gen.oneOf(Agg.Avg, Agg.Sum, Agg.Min, Agg.Max, Agg.Count)
+      pos <- Gen.choose(0, l)
+      onEdge <- Gen.oneOf(false, true)
+    } yield {
+      val target =
+        if (agg == Agg.Count) UnitTarget
+        else if (onEdge && l > 0) EdgeAttrTarget(pos min (l - 1), "w")
+        else NodeAttrTarget(pos, "x")
+      Hypothesis("rand", PathSpec(mods.toVector, steps.toVector), target, agg, Gt, 5.0)
+    }
+  }
+
+  test("evaluators agree on random graphs with isolated nodes, self-loops, multi-edges and absent types") {
+    val seen = scala.collection.mutable.Set.empty[(Int, Agg)]
+    var nonEmpty = 0
+    forAllG(genGraph, genHypothesis) { case ((nodes, edges), h) =>
+      val ag = AttributedGraph.fromTuples(spark, nodes, edges)
+      val s = SparkEvaluator.evaluate(ag, h, collectValues = true)
+      val l = LocalEvaluator.evaluate(LocalGraph.fromAttributed(ag), h)
+      assert(s.nRelevant == l.nRelevant)
+      assert(s.estimate == l.estimate)
+      assert(s.values.sorted.toSeq == l.values.sorted.toSeq)
+      seen += h.path.length -> h.agg
+      if (l.nRelevant > 0) nonEmpty += 1
+    }
+    assert(seen.map(_._1) == Set(0, 1, 2))
+    assert(seen.map(_._2).size == 5)
+    assert(nonEmpty >= propIterations / 3, s"only $nonEmpty of $propIterations cases had relevant paths")
   }
 }

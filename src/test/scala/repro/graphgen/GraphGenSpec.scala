@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestGraphs}
 import repro.core.LocalGraph
+import repro.eval.Tables
 
 /** Synthetic dataset generators: structure, determinism, planted signals. */
 class GraphGenSpec extends SparkSpec {
@@ -11,33 +12,39 @@ class GraphGenSpec extends SparkSpec {
   private lazy val ml = TestGraphs.mlSmall
   private lazy val db = TestGraphs.dblpSmall
   private lazy val ye = TestGraphs.yelpSmall
+  private lazy val mlL = TestGraphs.mlSmallLocal
+  private lazy val dbL = TestGraphs.dblpSmallLocal
+  private lazy val yeL = TestGraphs.yelpSmallLocal
+
+  private def types(a: Array[String]): Seq[String] = a.toSeq.sorted
 
   // ------------------------------------------------------------- structure
 
   test("MovieLens has 2 node types and 1 edge type (Table 1 shape)") {
-    assert(ml.nodeTypes == Seq("movie", "user"))
-    assert(ml.edgeTypes == Seq("rates"))
+    assert(types(mlL.ntypes) == Seq("movie", "user"))
+    assert(types(mlL.etypes) == Seq("rates"))
   }
   test("DBLP has 4 node types and 4 edge types (Table 1 shape)") {
-    assert(db.nodeTypes == Seq("author", "fos", "paper", "venue"))
-    assert(db.edgeTypes == Seq("Authorship", "Cites", "PublishedIn", "WithDomain"))
+    assert(types(dbL.ntypes) == Seq("author", "fos", "paper", "venue"))
+    assert(types(dbL.etypes) == Seq("Authorship", "Cites", "PublishedIn", "WithDomain"))
   }
   test("Yelp has 2 node types and 1 edge type (Table 1 shape)") {
-    assert(ye.nodeTypes == Seq("business", "user"))
-    assert(ye.edgeTypes == Seq("review"))
+    assert(types(yeL.ntypes) == Seq("business", "user"))
+    assert(types(yeL.etypes) == Seq("review"))
   }
   test("MovieLens is the densest dataset, as in Table 1") {
-    assert(ml.density > db.density && ml.density > ye.density)
+    val (m, d, y) = (Tables.density(mlL), Tables.density(dbL), Tables.density(yeL))
+    assert(m > d && m > y)
   }
   test("every node has at least one edge (§2.1 assumption)") {
-    for ((name, g) <- Seq("ml" -> ml, "dblp" -> db, "yelp" -> ye)) {
-      val isolated = g.degrees.filter(col("degree") === 0).count()
+    for ((name, g) <- Seq("ml" -> mlL, "dblp" -> dbL, "yelp" -> yeL)) {
+      val isolated = (0 until g.numNodes).count(g.degree(_) == 0)
       assert(isolated == 0, s"$name has $isolated isolated nodes")
     }
   }
   test("edges reference existing nodes") {
     // LocalGraph.fromAttributed throws if an endpoint is unknown.
-    assert(TestGraphs.dblpSmallLocal.numEdges == db.numEdges)
+    assert(dbL.numEdges == db.edges.count())
   }
   test("DBLP edge types connect the right node types") {
     val lg = TestGraphs.dblpSmallLocal
@@ -52,7 +59,7 @@ class GraphGenSpec extends SparkSpec {
     }
   }
   test("bipartite datasets only connect user to item") {
-    for (lg <- Seq(TestGraphs.mlSmallLocal, TestGraphs.yelpSmallLocal); e <- 0 until lg.numEdges)
+    for (lg <- Seq(mlL, yeL); e <- 0 until lg.numEdges)
       assert(lg.nodeType(lg.edgeSrc(e)) == "user" && lg.nodeType(lg.edgeDst(e)) != "user")
   }
 
@@ -61,7 +68,7 @@ class GraphGenSpec extends SparkSpec {
   test("generators are deterministic in (scale, seed)") {
     val a = GraphGen.dblp(spark, scale = 0.02, seed = 9)
     val b = GraphGen.dblp(spark, scale = 0.02, seed = 9)
-    assert(a.numNodes == b.numNodes && a.numEdges == b.numEdges)
+    assert(a.nodes.count() == b.nodes.count() && a.edges.count() == b.edges.count())
     val ca = a.nodes.agg(sum(hash(col("id"), col("ntype"), col("citation")))).collect()(0).getLong(0)
     val cb = b.nodes.agg(sum(hash(col("id"), col("ntype"), col("citation")))).collect()(0).getLong(0)
     assert(ca == cb)
@@ -74,8 +81,8 @@ class GraphGenSpec extends SparkSpec {
     assert(ha != hb)
   }
   test("scale grows node and edge counts") {
-    val s1 = GraphGen.movieLens(spark, scale = 0.02)
-    assert(ml.numNodes > s1.numNodes && ml.numEdges > s1.numEdges)
+    val s1 = LocalGraph.fromAttributed(GraphGen.movieLens(spark, scale = 0.02))
+    assert(mlL.numNodes > s1.numNodes && mlL.numEdges > s1.numEdges)
   }
 
   // ------------------------------------------------------- attribute domains
@@ -139,8 +146,8 @@ class GraphGenSpec extends SparkSpec {
 
   test("bench-scale sizes are in the documented ballpark") {
     // Avoid regenerating bench scale here (slow); derive from small scale.
-    assert(db.numNodes > 1000 && db.numNodes < 3000)   // 32.5K * 0.05
-    assert(ye.numNodes > 800 && ye.numNodes < 2000)
+    assert(dbL.numNodes > 1000 && dbL.numNodes < 3000)   // 32.5K * 0.05
+    assert(yeL.numNodes > 800 && yeL.numNodes < 2000)
   }
   test("Zipf sampler is skewed and in range") {
     val rng = new scala.util.Random(3)
